@@ -117,9 +117,11 @@ class ConditionEvaluator:
         round).  Returns a :class:`ConditionOutcome` carrying the query
         results for the action.
         """
-        self._tracer.record(tracing.RULE_MANAGER, tracing.CONDITION_EVALUATOR,
-                            "evaluate_condition",
-                            "%s coupling=%s" % (condition.name or "-", coupling))
+        if self._tracer.enabled:
+            self._tracer.record(tracing.RULE_MANAGER,
+                                tracing.CONDITION_EVALUATOR,
+                                "evaluate_condition", "%s coupling=%s"
+                                % (condition.name or "-", coupling))
         self.stats["evaluations"] += 1
         timed = self._eval_seconds.should_sample()
         start = _time.perf_counter() if timed else 0.0

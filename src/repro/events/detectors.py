@@ -199,8 +199,9 @@ class EventDetector:
             return
         signal.spec = spec
         self.stats["reported"] += 1
-        self._tracer.record(self.component, tracing.RULE_MANAGER,
-                            "signal_event", signal.describe())
+        if self._tracer.enabled:
+            self._tracer.record(self.component, tracing.RULE_MANAGER,
+                                "signal_event", signal.describe())
         self.sink(signal)
 
     def report_batch(self, pairs: List[Tuple[EventSpec, EventSignal]]) -> None:
@@ -225,8 +226,9 @@ class EventDetector:
                 continue
             signal.spec = spec
             self.stats["reported"] += 1
-            self._tracer.record(self.component, tracing.RULE_MANAGER,
-                                "signal_event", signal.describe())
+            if self._tracer.enabled:
+                self._tracer.record(self.component, tracing.RULE_MANAGER,
+                                    "signal_event", signal.describe())
             deliverable.append(signal)
         if not deliverable:
             return

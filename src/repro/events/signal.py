@@ -57,6 +57,15 @@ class EventSignal:
     constituents: Tuple["EventSignal", ...] = ()
     #: the spec the signal was matched against (set by the detector)
     spec: Optional[EventSpec] = None
+    # Per-signal memos: one signal triggers every rule on its spec, and
+    # each firing asks for the description and the bindings.  Excluded
+    # from equality and repr; the payload fields are never mutated after
+    # the signal is built (detectors tag ``spec`` on copies, which the
+    # description and bindings do not read).
+    _description: Optional[str] = field(default=None, init=False,
+                                        compare=False, repr=False)
+    _bindings: Optional[Dict[str, Any]] = field(default=None, init=False,
+                                                compare=False, repr=False)
 
     def changed_attrs(self) -> frozenset:
         """For update events: the set of attributes whose value changed."""
@@ -78,7 +87,16 @@ class EventSignal:
         constituent bindings in occurrence order (later constituents win on
         conflicts) and additionally expose ``event_<i>_<name>`` per
         constituent.  All signals bind ``timestamp``.
+
+        Every call returns a fresh dict (actions receive it as
+        ``ctx.bindings`` and may mutate it); the computation itself runs
+        once per signal.
         """
+        if self._bindings is None:
+            self._bindings = self._compute_bindings()
+        return dict(self._bindings)
+
+    def _compute_bindings(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"timestamp": self.timestamp, "event_kind": self.kind}
         if self.kind == "database":
             out["op"] = self.op
@@ -134,6 +152,11 @@ class EventSignal:
 
     def describe(self) -> str:
         """One-line human-readable description (used in traces and logs)."""
+        if self._description is None:
+            self._description = self._compute_description()
+        return self._description
+
+    def _compute_description(self) -> str:
         if self.kind == "database":
             target = str(self.oid) if self.oid is not None else (self.class_name or "-")
             return "db:%s %s" % (self.op, target)

@@ -33,7 +33,7 @@ from repro.obs.metrics import HOT_PATH_SAMPLE, MetricsRegistry
 from repro.events.database import DatabaseEventDetector
 from repro.events.signal import EventSignal
 from repro.objstore.executor import Plan, QueryExecutor
-from repro.objstore.objects import OID
+from repro.objstore.objects import OID, ObjectRecord
 from repro.objstore.operations import (
     CreateObject,
     DefineClass,
@@ -121,8 +121,9 @@ class ObjectManager:
         """
         if not isinstance(op, Operation):
             raise SchemaError("unknown operation: %r" % (op,))
-        self._tracer.record(source, tracing.OBJECT_MANAGER,
-                            "execute_operation", op.describe())
+        if self._tracer.enabled:
+            self._tracer.record(source, tracing.OBJECT_MANAGER,
+                                "execute_operation", op.describe())
         txn.require_active()
         self.stats["operations"] += 1
         if self.recorder is not None:
@@ -201,24 +202,39 @@ class ObjectManager:
     def read(self, oid: OID, txn: Transaction, *, user: str = "system",
              source: str = tracing.APPLICATION) -> Dict[str, Any]:
         """Read one instance's attributes (shared-locked snapshot)."""
-        self._tracer.record(source, tracing.OBJECT_MANAGER, "read", str(oid))
-        txn.require_active()
-        self.stats["reads"] += 1
-        # Application read latency only: the Rule Manager's per-firing
-        # rule-object read (§2.2 "firing requires a read lock") is a dict
-        # probe already accounted inside the firing's condition timing.
+        # Application read latency only: reads made on the Rule Manager's
+        # behalf (rule actions) are accounted inside the firing's timing.
         timed = (source != tracing.RULE_MANAGER
                  and self._read_seconds.should_sample())
         start = _time.perf_counter() if timed else 0.0
-        locks = self.txns.locks
-        locks.acquire(txn, LockResource.for_class(oid.class_name), LockMode.IS)
-        locks.acquire(txn, LockResource.for_object(oid), LockMode.S)
-        snapshot = self.store.get(oid).snapshot()
+        snapshot = self.lock_for_read(oid, txn, source=source).snapshot()
         self._signal_retrieval("read", oid.class_name, txn, user,
                                oid=oid, attrs=snapshot, source=source)
         if timed:
             self._read_seconds.observe(_time.perf_counter() - start)
         return snapshot
+
+    def lock_for_read(self, oid: OID, txn: Transaction, *,
+                      source: str = tracing.APPLICATION) -> ObjectRecord:
+        """Take the shared locks a read of ``oid`` needs (IS on its extent,
+        S on the object) and return its live record, without copying the
+        attributes or signalling a retrieval event.
+
+        The Rule Manager's per-firing rule-object read (§2.2 "firing
+        requires a read lock") uses this directly: it needs the lock, not
+        the snapshot.  A deleted object still raises
+        :class:`~repro.errors.UnknownObjectError`.  Callers must not mutate
+        the returned record.
+        """
+        if self._tracer.enabled:
+            self._tracer.record(source, tracing.OBJECT_MANAGER, "read",
+                                str(oid))
+        txn.require_active()
+        self.stats["reads"] += 1
+        locks = self.txns.locks
+        locks.acquire(txn, LockResource.for_class(oid.class_name), LockMode.IS)
+        locks.acquire(txn, LockResource.for_object(oid), LockMode.S)
+        return self.store.get(oid)
 
     def execute_query(self, query: Query, txn: Transaction,
                       bindings: Bindings = (), *, user: str = "system",

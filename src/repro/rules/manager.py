@@ -440,21 +440,17 @@ class RuleManager:
         firings (paper §6.3) and then reports the commit event; begin/abort
         events are simply reported.  Abort events are reported detached
         (rules triggered by an abort cannot run inside the aborted
-        transaction)."""
+        transaction).  The signal is built only when some programmed spec
+        could match it — the same interest gating as the composite and
+        temporal feeds."""
         if kind == "commit":
             self._process_deferred(txn)
-            if not txn.internal:
-                signal = EventSignal(kind="database", op="commit", txn=txn,
-                                     timestamp=self._clock.now())
-                self.txn_detector.observe(signal)
-        elif kind == "begin" and not txn.internal:
-            signal = EventSignal(kind="database", op="begin", txn=txn,
-                                 timestamp=self._clock.now())
-            self.txn_detector.observe(signal)
-        elif kind == "abort" and not txn.internal:
-            signal = EventSignal(kind="database", op="abort", txn=None,
-                                 timestamp=self._clock.now())
-            self.txn_detector.observe(signal)
+        if txn.internal or not self.txn_detector.relevant(kind, None):
+            return
+        signal = EventSignal(kind="database", op=kind,
+                             txn=None if kind == "abort" else txn,
+                             timestamp=self._clock.now())
+        self.txn_detector.observe(signal)
 
     # ================================================= rule-object management
 
@@ -793,7 +789,8 @@ class RuleManager:
         try:
             if rule.oid is not None:
                 # "Firing requires a read lock" (§2.2).
-                self._om.read(rule.oid, ctxn, source=tracing.RULE_MANAGER)
+                self._om.lock_for_read(rule.oid, ctxn,
+                                       source=tracing.RULE_MANAGER)
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, ctxn, coupling=coupling, memo=memo)
@@ -958,7 +955,8 @@ class RuleManager:
                                            coupling=SEPARATE, txn=stxn.txn_id)
         try:
             if rule.oid is not None:
-                self._om.read(rule.oid, stxn, source=tracing.RULE_MANAGER)
+                self._om.lock_for_read(rule.oid, stxn,
+                                       source=tracing.RULE_MANAGER)
             self.stats["conditions_evaluated"] += 1
             outcome = self._evaluator.evaluate(
                 rule.condition, signal, stxn, coupling=SEPARATE)

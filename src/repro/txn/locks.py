@@ -124,8 +124,13 @@ class LockResource:
 
     @staticmethod
     def for_class(class_name: str) -> "LockResource":
-        """The extent-level resource of ``class_name``."""
-        return LockResource("class", class_name)
+        """The extent-level resource of ``class_name`` (interned: every
+        object read and write takes an intention lock on its extent)."""
+        resource = _CLASS_RESOURCES.get(class_name)
+        if resource is None:
+            resource = _CLASS_RESOURCES.setdefault(
+                class_name, LockResource("class", class_name))
+        return resource
 
     @staticmethod
     def for_object(oid) -> "LockResource":
@@ -136,6 +141,10 @@ class LockResource:
         if self.kind == "class":
             return "class:%s" % self.name
         return "object:%s#%d" % (self.name, self.number)
+
+
+#: interned class-extent resources, by class name
+_CLASS_RESOURCES: Dict[str, LockResource] = {}
 
 
 class _LockEntry:
@@ -151,9 +160,15 @@ class LockManager:
     """The system-wide lock table.
 
     All state is protected by a single condition variable; waiters re-check
-    on every release.  This keeps the implementation obviously correct;
-    contention on the internal mutex is negligible compared to condition
-    evaluation work.
+    on every release.  This keeps the implementation obviously correct.
+    What costs is not contention on that mutex but the per-request work on
+    the firing path: each rule firing read-locks its rule object (IS + S)
+    in a fresh condition subtransaction, so one signal fanning out to
+    dozens of rules makes dozens of requests and nested commits.  Hence
+    the short cuts: a request the transaction already covers with a held
+    mode is granted without the conflict scan, a commit with nothing to
+    inherit skips the table, and the wait clock is read only when a
+    request is about to block.
     """
 
     def __init__(self, default_timeout: float = 10.0,
@@ -196,8 +211,24 @@ class LockManager:
             raise TransactionStateError(
                 "transaction %s is %s; cannot lock" % (txn.txn_id, txn.state)
             )
+        held = txn.held_locks.get(resource)
+        if held is not None and _SUPREMUM[(held, mode)] == held:
+            # Already held at an equal or stronger mode: the grant would
+            # leave the table unchanged, so skip the conflict scan.  No
+            # other holder can block it — one incompatible with ``mode``
+            # is incompatible with ``held`` too, and only an ancestor or a
+            # (suspended-parent) descendant can hold such a mode.  The
+            # re-check under the mutex catches a concurrent abort that
+            # released the lock or flagged ``txn`` since the read above.
+            with self._cond:
+                if txn.held_locks.get(resource) == held and \
+                        not txn.aborted_flag:
+                    self.stats["acquired"] += 1
+                    return
         wait_budget = self.default_timeout if timeout is None else timeout
-        deadline = _time.monotonic() + wait_budget
+        # The wait clock starts at the first wait: an uncontended request
+        # never reads it.
+        started = deadline = 0.0
         with self._cond:
             entry = self._table.get(resource)
             if entry is None:
@@ -219,12 +250,15 @@ class LockManager:
                     del self._waits_for[txn]
                     self.stats["deadlocks"] += 1
                     if waited:
-                        self._record_wait(deadline - wait_budget)
+                        self._record_wait(started)
                     raise DeadlockError(
                         "deadlock: %s waiting for %s held by %s"
                         % (txn.txn_id, resource,
                            sorted(b.txn_id for b in blockers))
                     )
+                if not waited:
+                    started = _time.monotonic()
+                    deadline = started + wait_budget
                 waited = True
                 self.stats["waited"] += 1
                 remaining = deadline - _time.monotonic()
@@ -244,7 +278,7 @@ class LockManager:
                     if not self._conflicting_holders(txn, entry, mode):
                         break
                     self.stats["timeouts"] += 1
-                    self._record_wait(deadline - wait_budget)
+                    self._record_wait(started)
                     raise LockTimeout(
                         "transaction %s timed out waiting for %s on %s"
                         % (txn.txn_id, mode, resource)
@@ -256,7 +290,7 @@ class LockManager:
             txn.held_locks[resource] = new_mode
             self.stats["acquired"] += 1
             if waited:
-                self._record_wait(deadline - wait_budget)
+                self._record_wait(started)
                 # Others may have been enabled by table changes along the way.
                 self._cond.notify_all()
 
@@ -346,6 +380,10 @@ class LockManager:
             raise TransactionStateError(
                 "transaction %s has no parent to inherit locks" % child.txn_id
             )
+        if not child.held_locks:
+            # Nothing to hand up (a child only gains locks on its own
+            # thread, and it is committing): leave the table mutex alone.
+            return
         with self._cond:
             for resource, mode in list(child.held_locks.items()):
                 entry = self._table.get(resource)

@@ -92,9 +92,11 @@ class TransactionManager:
         Manager creates transactions for rule firings, applications create
         their own).
         """
-        self._tracer.record(source, tracing.TRANSACTION_MANAGER,
-                            "create_transaction",
-                            "nested under %s" % parent.txn_id if parent else "top level")
+        if self._tracer.enabled:
+            self._tracer.record(source, tracing.TRANSACTION_MANAGER,
+                                "create_transaction",
+                                "nested under %s" % parent.txn_id
+                                if parent else "top level")
         txn = Transaction(self._ids.next_id(), parent, deadline=deadline,
                           priority=priority, label=label, internal=internal)
         with self._mutex:
@@ -265,8 +267,19 @@ class TransactionManager:
     # ---------------------------------------------------------------- misc
 
     def _signal(self, kind: str, txn: Transaction) -> None:
-        self._tracer.record(tracing.TRANSACTION_MANAGER, tracing.RULE_MANAGER,
-                            "signal_event", "transaction %s %s" % (kind, txn.txn_id))
+        """Report a transaction event to the Rule Manager (§5.2).
+
+        The §6 trace edge is recorded for every event, but the sink is
+        called only when the Rule Manager would act on it: an internal
+        transaction's begin and abort never trigger rules, and its commit
+        matters only when deferred firings are queued on it (per-transaction
+        deferral)."""
+        if self._tracer.enabled:
+            self._tracer.record(tracing.TRANSACTION_MANAGER,
+                                tracing.RULE_MANAGER, "signal_event",
+                                "transaction %s %s" % (kind, txn.txn_id))
+        if txn.internal and (kind != "commit" or not txn.has_deferred_work()):
+            return
         assert self.event_sink is not None
         self.event_sink(kind, txn)
 

@@ -28,6 +28,12 @@ from repro.errors import TransactionStateError
 from repro.txn.locks import LockResource
 from repro.txn.undo import UndoRecord
 
+#: guards every transaction's ``children`` list (appended on nested create,
+#: read by commit/abort checks).  One shared lock rather than one per
+#: transaction: rule firings create several subtransactions each, and the
+#: lists are only ever touched briefly.
+_CHILDREN_LOCK = threading.Lock()
+
 ACTIVE = "active"
 COMMITTING = "committing"
 COMMITTED = "committed"
@@ -41,6 +47,12 @@ class Transaction:
     :meth:`repro.txn.manager.TransactionManager.create_transaction` or the
     :class:`~repro.core.hipac.HiPAC` facade.
     """
+
+    __slots__ = ("txn_id", "parent", "internal", "children", "state", "depth",
+                 "label", "deadline", "priority", "undo_log", "held_locks",
+                 "deferred_conditions", "deferred_actions", "flight_tail",
+                 "prov_tail", "flight_seq", "on_commit", "on_abort",
+                 "aborted_flag")
 
     def __init__(self, txn_id: str, parent: Optional["Transaction"] = None,
                  *, deadline: Optional[float] = None,
@@ -92,7 +104,6 @@ class Transaction:
         #: set True when the system decides to abort this transaction from
         #: another thread (deadlock victim wake-up, dependency discard)
         self.aborted_flag = False
-        self._mutex = threading.Lock()
 
         if parent is not None:
             if parent.is_finished():
@@ -100,7 +111,7 @@ class Transaction:
                     "cannot nest under %s transaction %s"
                     % (parent.state, parent.txn_id)
                 )
-            with parent._mutex:
+            with _CHILDREN_LOCK:
                 parent.children.append(self)
 
     # ----------------------------------------------------------- structure
@@ -125,22 +136,27 @@ class Transaction:
 
     def is_descendant_of(self, other: "Transaction") -> bool:
         """True if ``other`` is this transaction or one of its ancestors."""
-        return any(node is other for node in self.ancestors(include_self=True))
+        node: Optional[Transaction] = self
+        while node is not None:
+            if node is other:
+                return True
+            node = node.parent
+        return False
 
     def active_children(self) -> List["Transaction"]:
         """Return children still in the ACTIVE or COMMITTING state."""
-        with self._mutex:
+        with _CHILDREN_LOCK:
             return [child for child in self.children if not child.is_finished()]
 
     def tree_size(self) -> int:
         """Number of transactions in this subtree (self included)."""
-        with self._mutex:
+        with _CHILDREN_LOCK:
             children = list(self.children)
         return 1 + sum(child.tree_size() for child in children)
 
     def tree_depth(self) -> int:
         """Height of this transaction subtree (a leaf has depth 1)."""
-        with self._mutex:
+        with _CHILDREN_LOCK:
             children = list(self.children)
         if not children:
             return 1
