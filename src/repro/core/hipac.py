@@ -327,8 +327,6 @@ class HiPAC:
                             metrics=self.metrics)
         self.wal = wal
         self.transaction_manager.wal = wal
-        self.object_manager.wal = wal
-        self.rule_manager.wal = wal
         self.checkpointer = Checkpointer(self, wal,
                                          interval_records=checkpoint_interval)
         self.transaction_manager.checkpointer = self.checkpointer

@@ -89,9 +89,6 @@ class ObjectManager:
             indexed_dispatch=indexed_dispatch,
             metrics=self._metrics)
         self._delta_listeners: List[DeltaListener] = []
-        #: write-ahead log; None while the system runs in-memory only
-        #: (attached by the facade when durability is enabled)
-        self.wal: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  Top-level
         #: application operations are journalled as replayable stimuli;
         #: rule-cascade operations are suppressed (replay re-derives them).
@@ -341,17 +338,13 @@ class ObjectManager:
         return delta
 
     def _record_and_signal(self, delta: Delta, txn: Transaction, user: str) -> None:
+        # The undo record is also the redo record: the WAL logs the
+        # sphere's surviving DeltaUndo entries at its top-level commit.
         txn.log_undo(DeltaUndo(self.store, delta))
-        # Write-ahead: the delta reaches the log before the operation's
-        # signal can trigger further (immediate) rule work.  If the append
-        # raises, the undo record above rolls this operation back with the
-        # rest of the transaction.
-        if self.wal is not None:
-            self.wal.log_delta(delta, txn)
         if self.provenance is not None:
             # Buffered on the sphere, not yet queryable: publish happens
-            # at top-level commit, abort prunes (so a WAL failure above
-            # or any later rollback never leaks phantom provenance).
+            # at top-level commit, abort prunes (so a rollback never
+            # leaks phantom provenance).
             self.provenance.note_delta(delta, txn, user)
         for listener in self._delta_listeners:
             listener(txn, delta)

@@ -13,7 +13,8 @@ Checkpoints are taken only at quiescent points — no live transactions — so
 the snapshot never contains uncommitted state.  The
 :class:`Checkpointer` is invoked by the Transaction Manager after each
 top-level commit and triggers when the WAL has grown by
-``interval_records`` records since the last checkpoint.
+``interval_records`` records (one per logged commit) since the last
+checkpoint.
 """
 
 from __future__ import annotations

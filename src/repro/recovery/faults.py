@@ -5,10 +5,11 @@ Complementary fault shapes, now aimed at the shared segment store:
 * :class:`FaultingWAL` — a :class:`~repro.recovery.wal.WriteAheadLog`
   whose device "dies" after N successful appends (every later append
   raises :class:`InjectedCrash` and the log stays dead), exercising the
-  live system's reaction to a failing log at commit/abort time.  With
-  ``fail_fsync_after`` the *sync* path dies instead — the records land
-  in the OS but the durability wait fails, modelling a crash **between
-  the group-commit batch write and its fsync**.
+  live system's reaction to a failing log at top-level commit, the only
+  point that writes it (one record per sphere that wrote anything).
+  With ``fail_fsync_after`` the *sync* path dies instead — the commit
+  record lands in the OS but the durability wait fails, modelling a
+  crash **between the group-commit batch write and its fsync**.
 
 * :func:`truncated_copy` — copies a durable directory keeping only the
   first N WAL records (re-framed into one fresh binary segment),
@@ -41,13 +42,13 @@ class FaultingWAL(WriteAheadLog):
     """A WAL whose append or sync path fails permanently at a set point.
 
     ``fail_after=N``: the append path dies after N records are written
-    (the Nth record is durable, then the device dies) — a crash between
-    two appends.  ``fail_fsync_after=N``: the first N durability waits
-    succeed, then every later one raises *after* the batch was written
-    and flushed — a crash between the group-commit write and its fsync
-    (records reach the OS; stable storage is never confirmed).  The
-    append path stays alive under a sync fault, so abort-path
-    compensation records can still settle the sphere's fate.
+    (the Nth commit record is durable, then the device dies) — a crash
+    between two commits.  ``fail_fsync_after=N``: the first N durability
+    waits succeed, then every later one raises *after* the batch was
+    written and flushed — a crash between the group-commit write and its
+    fsync (records reach the OS; stable storage is never confirmed).  The
+    append path stays alive under a sync fault, so the best-effort abort
+    record can still settle the sphere's fate.
     """
 
     def __init__(self, data_dir: Any, *, fail_after: Optional[int] = None,
@@ -71,8 +72,8 @@ class FaultingWAL(WriteAheadLog):
 
         def faulting_sync(seq: Optional[int] = None) -> None:
             # Only the sync path dies: the device still accepts appends,
-            # so the abort path's best-effort compensation records can
-            # land and settle the sphere's on-disk fate.
+            # so the best-effort abort record can land and settle the
+            # sphere's on-disk fate.
             if (self.fail_fsync_after is not None
                     and writer.stats["syncs"] >= self.fail_fsync_after):
                 self.crashed = True

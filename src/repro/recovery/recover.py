@@ -1,20 +1,24 @@
 """Crash recovery: rebuild state from checkpoint + WAL replay.
 
-Replay is redo-only and sphere-atomic.  Records are grouped by their
-top-level transaction ("sphere"); a sphere's deltas are applied — in log
-order — only when its top-level commit record made it into the durable
-prefix.  Spheres whose top-level record is an abort, or missing entirely
-(the crash interrupted them), are discarded wholesale, which realizes the
-model's guarantees directly:
+Replay is redo-only and sphere-atomic.  Each committed sphere (top-level
+transaction) logged one ``commit`` record carrying all its deltas, forced
+at the §6.3 point after deferred rule work, so a sphere is either wholly
+in the durable prefix or absent:
 
-* no committed effect is lost (the commit record is forced *after* all the
-  sphere's deltas, §6.3 — including deferred-rule deltas, which ran inside
-  the committing transaction and therefore precede the commit record);
-* no uncommitted or aborted effect resurfaces (its sphere never replays);
+* no committed effect is lost (the commit returned only after its record
+  was forced, deferred-rule deltas included);
+* no uncommitted or aborted effect resurfaces (it never reached the log;
+  a commit record whose force failed is followed by an ``abort`` record,
+  and a sphere's *last* outcome record is its fate);
 * nested commits are durable exactly through their committed top-level
-  ancestor (their deltas carry the ancestor's sphere id; nested aborts
-  left compensation records in the sphere, so replaying the sphere
-  front-to-back lands on the committed state).
+  ancestor (their deltas sit in the ancestor's record; aborted children's
+  writes were undone before it was written).
+
+Logs of the older per-event format recover through the same loop: their
+``delta`` records accumulate per sphere and are applied ahead of the
+sphere's top-level commit record; nested begin/commit/abort records and
+rule records are skipped (compensation deltas for aborted children were
+logged as ordinary deltas).
 
 Rules are *rebound* rather than replayed: conditions and actions are
 Python callables the log cannot capture, so the recovered ``HiPAC::Rule``
@@ -77,6 +81,13 @@ def _rule_library(rules: Union[None, Dict[str, Rule], Iterable[Rule]]
     if isinstance(rules, dict):
         return dict(rules)
     return {rule.name: rule for rule in rules}
+
+
+def _is_outcome(record: Dict[str, Any]) -> bool:
+    """A sphere's commit or abort record.  Only older logs hold nested
+    outcome records, marked ``top`` false, which replay skips."""
+    return (record["type"] in (wal_mod.TXN_COMMIT, wal_mod.TXN_ABORT)
+            and record["data"].get("top", True))
 
 
 def _apply_delta(store: ObjectStore, delta: Delta) -> None:
@@ -177,40 +188,34 @@ def replay_into(db: Any, data_dir: Any,
     live = [record for record in records
             if record["lsn"] > report.checkpoint_lsn]
 
-    # A sphere's fate is its *last* top-level outcome record: a commit
-    # record followed by an abort record means the commit force failed
-    # after the record landed and the system rolled the sphere back.
-    fate: Dict[str, str] = {}
-    for record in live:
-        if record["data"].get("top") and record["type"] in (
-                wal_mod.TXN_COMMIT, wal_mod.TXN_ABORT):
-            fate[record["sphere"]] = record["type"]
+    # A sphere's fate is its *last* outcome record: a commit record
+    # followed by an abort record means the commit force failed after the
+    # record landed and the system rolled the sphere back.
+    fate = {record["sphere"]: record["type"]
+            for record in live if _is_outcome(record)}
 
-    # Group the surviving records by sphere; apply committed spheres in
-    # commit order (log order of their top-level commit records).
-    pending: Dict[str, List[Delta]] = {}
+    # Apply committed spheres in commit order (log order of their commit
+    # records); older logs' per-write delta records wait for theirs.
+    pending: Dict[str, List[Dict[str, Any]]] = {}
     for record in live:
-        rtype = record["type"]
         sphere = record["sphere"]
-        if rtype == wal_mod.DELTA:
-            pending.setdefault(sphere, []).append(
-                decode_delta(record["data"]))
-        elif rtype == wal_mod.TXN_COMMIT and record["data"].get("top"):
+        if record["type"] == wal_mod.DELTA:
+            pending.setdefault(sphere, []).append(record["data"])
+        elif _is_outcome(record):
             deltas = pending.pop(sphere, [])
-            if fate.get(sphere) != wal_mod.TXN_COMMIT:
+            deltas.extend(record["data"].get("deltas", ()))
+            if not deltas:
+                continue
+            if fate[sphere] != wal_mod.TXN_COMMIT:
                 report.discarded_spheres += 1
                 continue
-            for delta in deltas:
-                _apply_delta(store, delta)
+            for data in deltas:
+                _apply_delta(store, decode_delta(data))
                 report.replayed_records += 1
             report.replayed_spheres += 1
-        elif rtype == wal_mod.TXN_ABORT and record["data"].get("top"):
-            if pending.pop(sphere, None) is not None:
-                report.discarded_spheres += 1
-    # Spheres with no top-level outcome record: the crash caught them
-    # mid-flight; their effects were never durable.
+    # Older-format spheres with no top-level outcome record: the crash
+    # caught them mid-flight; their effects were never durable.
     report.discarded_spheres += len(pending)
-    pending.clear()
 
     # The OID allocator must never re-issue a recovered identifier.
     highest = max(

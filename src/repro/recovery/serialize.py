@@ -1,9 +1,9 @@
 """JSON codec for durable records (WAL + checkpoint).
 
 The store's canonical change unit is the :class:`~repro.objstore.store.Delta`
-— full before/after attribute snapshots, exactly what redo needs — so the
-durable formats are thin encodings of deltas, class definitions, and
-attribute values.  Attribute values may contain :class:`OID` references,
+— full before/after attribute snapshots — so the durable formats are thin
+encodings of deltas (their redo half: the after-image), class definitions,
+and attribute values.  Attribute values may contain :class:`OID` references,
 tuples, sets, and nested maps (the data model's ``LIST``/``MAP``/``OID``
 types), none of which JSON represents natively; those are wrapped in
 ``{"$": tag, "v": ...}`` envelopes so a decode round-trip reproduces the
@@ -171,13 +171,13 @@ def decode_operation(data: Dict[str, Any]) -> Any:
 
 
 def encode_delta(delta: Delta) -> Dict[str, Any]:
-    """Encode one store delta for the WAL."""
+    """Encode one store delta for the WAL: only what redo reads, so the
+    before-image (``old_attrs``) is left out."""
     return {
         "kind": delta.kind,
         "class_name": delta.class_name,
         "oid": ([delta.oid.class_name, delta.oid.number]
                 if delta.oid is not None else None),
-        "old_attrs": encode_attrs(delta.old_attrs),
         "new_attrs": encode_attrs(delta.new_attrs),
         "class_def": (encode_class_def(delta.class_def)
                       if delta.class_def is not None else None),
@@ -185,7 +185,8 @@ def encode_delta(delta: Delta) -> Dict[str, Any]:
 
 
 def decode_delta(data: Dict[str, Any]) -> Delta:
-    """Invert :func:`encode_delta`."""
+    """Invert :func:`encode_delta`; records of older logs that still carry
+    ``old_attrs`` decode it too."""
     oid = OID(data["oid"][0], data["oid"][1]) if data["oid"] is not None else None
     class_def = (decode_class_def(data["class_def"])
                  if data["class_def"] is not None else None)
@@ -193,7 +194,7 @@ def decode_delta(data: Dict[str, Any]) -> Delta:
         kind=data["kind"],
         class_name=data["class_name"],
         oid=oid,
-        old_attrs=decode_attrs(data["old_attrs"]),
+        old_attrs=decode_attrs(data.get("old_attrs")),
         new_attrs=decode_attrs(data["new_attrs"]),
         class_def=class_def,
     )

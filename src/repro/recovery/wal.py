@@ -1,43 +1,44 @@
 """Write-ahead log: a domain layer over the shared segment store.
 
 The paper's execution model makes top-level transactions "atomic,
-serializable, and permanent" (§3.1); this log supplies *permanent*.  Every
-state change — object create/update/delete, class define/drop, rule
-create/drop, transaction begin/commit/abort — is appended as one framed
-record before (or, for compensations, exactly as) it is applied, and the
-log is **forced before ``commit_transaction`` returns** for top-level
-transactions (§6.3 ordering: deferred rule work runs first, inside the
-committing transaction, so its deltas precede the commit record; the
-commit record is then the last thing made durable before commit
-processing resumes).
+serializable, and permanent" (§3.1); this log supplies *permanent*.  A
+nested transaction's effects become permanent "only when it, and all of
+its ancestors through a top transaction, commit", so only top-level
+commits touch the log.  Each committed *sphere* (a top-level transaction
+plus all its nested subtransactions) appends **one** record holding the
+forward deltas of its writes, and the log is **forced before
+``commit_transaction`` returns** (§6.3: deferred rule work runs first,
+inside the committing transaction, so its deltas are in the record)::
 
-Framing, torn-tail scanning, segment rotation, and the durability wait
-itself all live in :mod:`repro.storage`: the WAL appends records shaped
-as ::
+    {"lsn": 17, "type": "commit", "txn": "t3", "sphere": "t3",
+     "data": {"deltas": [{"kind": "update", "oid": [...], ...}, ...]}}
 
-    {"lsn": 17, "type": "delta", "txn": "t5", "sphere": "t3", "data": {...}}
+No second buffer is kept: the record encodes the ``DeltaUndo`` entries of
+the top-level undo log.  The store lives in memory and checkpoints refuse
+to run while any transaction is live, so no uncommitted write ever
+reaches stable storage and redo needs a sphere's writes only at its
+commit.  By then the top-level undo log holds exactly the surviving
+writes, in the order they were applied: aborted children's records were
+undone and dropped, committed children's records were adopted by their
+parent, and deferred work ran inside the commit signal.  A sphere that
+wrote nothing appends and forces nothing.
 
-and calls :meth:`~repro.storage.segments.SegmentWriter.sync` at each
-top-level commit.  Under concurrency that sync is a **group commit**:
-one leader fsyncs the whole pending batch for every parked committer,
-so N simultaneous commits cost one fsync.
+One fate record remains: when the commit record was appended but the
+force failed, the Transaction Manager rolls the sphere back in memory and
+the log appends a best-effort ``abort`` record for it; recovery takes a
+sphere's *last* outcome record as its fate and discards it.
 
-``sphere`` is the id of the record's *top-level* transaction: recovery
-groups deltas by sphere and applies a sphere's records only when its
-top-level commit record is present in the durable prefix.
-
-Nested-transaction handling: a nested commit is *not* a durability point
-(its effects become permanent only through its committed top-level
-ancestor), so its commit record is informational.  A nested **abort**
-inside a live sphere appends *compensation* delta records — the inverses
-the in-memory undo replay applies — so replaying a committed sphere's
-records front-to-back reproduces exactly the state the sphere committed,
-aborted subtransactions included (the ARIES CLR idea, flattened to redo).
+Under concurrency the force is a **group commit**: one leader fsyncs the
+whole pending batch for every parked committer, so N simultaneous commits
+cost one fsync.  Framing, torn-tail scanning and segment rotation live in
+:mod:`repro.storage`.
 
 On disk the log is a stream of ``wal-<index:08d>.seg`` binary segments
 in ``data_dir``; a pre-refactor single-file ``wal.jsonl`` log (canonical
 JSON lines with an embedded checksum) is still read, ordered before the
-segments, by the storage layer's compatibility scanner.
+segments, by the storage layer's compatibility scanner.  Logs written in
+the older per-event format (a record per nested begin/commit/abort and
+per write) still recover; see :mod:`repro.recovery.recover`.
 """
 
 from __future__ import annotations
@@ -60,12 +61,10 @@ WAL_FILENAME = "wal.jsonl"
 WAL_PREFIX = "wal"
 
 # Record types.
-TXN_BEGIN = "begin"
 TXN_COMMIT = "commit"
 TXN_ABORT = "abort"
+#: one write per record, in logs of the older per-event format
 DELTA = "delta"
-RULE_CREATE = "rule-create"
-RULE_DROP = "rule-drop"
 
 
 def read_wal_records(source: Any) -> Tuple[List[Dict[str, Any]], int]:
@@ -109,11 +108,11 @@ class WriteAheadLog:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.fsync_on_commit = fsync and fsync_interval_ms is None
         self.failed = False
-        #: optional hook invoked (with the exception) when an append
-        #: fails — the forensics recorder captures a bundle before anyone
-        #: restarts the process; must never raise back into the log path
+        #: optional hook invoked (with the exception) when an append or
+        #: force fails — the forensics recorder captures a bundle before
+        #: anyone restarts the process; must never raise back into the
+        #: log path
         self.on_append_failure: Optional[Any] = None
         self._tracer = tracer or tracing.Tracer()
         self._writer = SegmentWriter(
@@ -143,39 +142,11 @@ class WriteAheadLog:
     # ------------------------------------------------------------- append
 
     def append(self, rtype: str, data: Optional[Dict[str, Any]] = None, *,
-               txn_id: Optional[str] = None, sphere: Optional[str] = None,
-               force: bool = False) -> int:
-        """Append one record; returns its LSN.  ``force`` additionally
-        waits for durability (group-committed when the log fsyncs)."""
-        lsn = self._writer.append({"type": rtype, "txn": txn_id,
-                                   "sphere": sphere, "data": data or {}})
-        if force:
-            self._writer.sync(lsn)
-        return lsn
-
-    def append_safe(self, rtype: str, data: Optional[Dict[str, Any]] = None, *,
-                    txn_id: Optional[str] = None,
-                    sphere: Optional[str] = None) -> bool:
-        """Best-effort append for abort-path records.
-
-        A failing log device must not break in-memory abort processing: a
-        sphere whose compensation cannot be logged can never durably commit
-        either (its commit force would fail on the same device), so a
-        missing compensation record is unrecoverable-state-safe.
-        """
-        try:
-            self.append(rtype, data, txn_id=txn_id, sphere=sphere)
-            return True
-        except Exception as exc:
-            self.failed = True
-            self._stats["append_failures"] += 1
-            self._tracer.bump("wal_append_failed")
-            if self.on_append_failure is not None:
-                try:
-                    self.on_append_failure(exc)
-                except Exception:
-                    pass
-            return False
+               txn_id: Optional[str] = None,
+               sphere: Optional[str] = None) -> int:
+        """Append one record (not yet durable); returns its LSN."""
+        return self._writer.append({"type": rtype, "txn": txn_id,
+                                    "sphere": sphere, "data": data or {}})
 
     def force(self) -> None:
         """Force buffered records to stable storage (fsync when enabled)."""
@@ -184,55 +155,57 @@ class WriteAheadLog:
     # ---------------------------------------------------- domain appenders
 
     def log_begin(self, txn: "Transaction") -> None:
-        """Record transaction creation."""
-        self.append(TXN_BEGIN,
-                    {"parent": txn.parent.txn_id if txn.parent else None,
-                     "label": txn.label},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
-
-    def log_commit(self, txn: "Transaction") -> None:
-        """Record a commit; for a top-level transaction this is the §6.3
-        durability point — the record is durable before the call returns
-        (one group-commit fsync covers every concurrently parked
-        committer)."""
-        top = txn.parent is None
-        self.append(TXN_COMMIT, {"top": top},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id,
-                    force=top)
-        if top:
-            self._stats["commits_forced"] += 1
-
-    def log_abort(self, txn: "Transaction") -> None:
-        """Record an abort, preceded — for nested transactions inside a
-        live sphere — by compensation records mirroring the inverse deltas
-        the in-memory undo replay is about to apply.  Best-effort (see
-        :meth:`append_safe`)."""
-        sphere = txn.top_level().txn_id
-        if txn.parent is not None:
-            for record in reversed(txn.undo_log):
-                if isinstance(record, DeltaUndo):
-                    self.append_safe(
-                        DELTA, encode_delta(record.delta.inverse()),
-                        txn_id=txn.txn_id, sphere=sphere)
-        self.append_safe(TXN_ABORT, {"top": txn.parent is None},
-                         txn_id=txn.txn_id, sphere=sphere)
+        """No-op: transaction creation is not logged.  Kept only because
+        ``ledgerbench/tracer.py`` wraps this method by name; it goes once
+        that list drops it."""
 
     def log_delta(self, delta: "Delta", txn: "Transaction") -> None:
-        """Record one applied store delta (object DML or class DDL)."""
-        self.append(DELTA, encode_delta(delta), txn_id=txn.txn_id,
-                    sphere=txn.top_level().txn_id)
+        """No-op: writes reach the log in their sphere's commit record.
+        Kept only because ``ledgerbench/tracer.py`` wraps this method by
+        name; it goes once that list drops it."""
 
-    def log_rule_create(self, name: str, attrs: Dict[str, Any],
-                        txn: "Transaction") -> None:
-        """Record rule registration (informational: the rule's
-        ``HiPAC::Rule`` row travels as an ordinary object delta)."""
-        self.append(RULE_CREATE, {"name": name, "attrs": attrs},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
+    def log_commit(self, txn: "Transaction") -> None:
+        """Log a committing top-level transaction's sphere as one record
+        and force it: the §6.3 durability point (one group-commit fsync
+        covers every concurrently parked committer).
 
-    def log_rule_drop(self, name: str, txn: "Transaction") -> None:
-        """Record rule deletion (informational, like rule creation)."""
-        self.append(RULE_DROP, {"name": name},
-                    txn_id=txn.txn_id, sphere=txn.top_level().txn_id)
+        A sphere without deltas appends and forces nothing.  A failed
+        append or force counts once in ``append_failures`` and re-raises
+        (the Transaction Manager then aborts the sphere); when only the
+        force failed, a best-effort abort record settles the sphere's
+        fate so recovery does not replay it.
+        """
+        deltas = [encode_delta(record.delta) for record in txn.undo_log
+                  if isinstance(record, DeltaUndo)]
+        if not deltas:
+            return
+        lsn = None
+        try:
+            lsn = self.append(TXN_COMMIT, {"deltas": deltas},
+                              txn_id=txn.txn_id, sphere=txn.txn_id)
+            self._writer.sync(lsn)
+        except Exception as exc:
+            self.failed = True
+            self._stats["append_failures"] += 1
+            self._tracer.bump("wal_append_failed")
+            if lsn is not None:
+                self.log_abort(txn)
+            if self.on_append_failure is not None:
+                try:
+                    self.on_append_failure(exc)
+                except Exception:
+                    pass
+            raise
+        self._stats["commits_forced"] += 1
+
+    def log_abort(self, txn: "Transaction") -> None:
+        """Best-effort fate record for a sphere whose commit record was
+        appended but never forced.  A failure here is not counted again:
+        the failed force already was."""
+        try:
+            self.append(TXN_ABORT, txn_id=txn.txn_id, sphere=txn.txn_id)
+        except Exception:
+            pass
 
     # ---------------------------------------------------------- lifecycle
 

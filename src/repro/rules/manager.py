@@ -167,9 +167,6 @@ class RuleManager:
             metrics=self._metrics)
         self.txn_detector.sink_batch = self.signal_event_batch
 
-        #: write-ahead log; None while the system runs in-memory only
-        #: (attached by the facade when durability is enabled)
-        self.wal: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  The Rule
         #: Manager is the journal's gatekeeper: rule administration is
         #: journalled here as a stimulus, every rule-cascade scope raises
@@ -514,8 +511,6 @@ class RuleManager:
         txn.log_undo(CallbackUndo(
             lambda: self._forget_rule(rule),
             label="forget rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_create(rule.name, rule.store_attrs(), txn)
 
     def _unregister_rule(self, rule: Rule, txn: Transaction) -> None:
         assert rule.event is not None
@@ -528,8 +523,6 @@ class RuleManager:
         txn.log_undo(CallbackUndo(
             lambda: self._remember_rule(rule),
             label="re-register rule %s" % rule.name))
-        if self.wal is not None:
-            self.wal.log_rule_drop(rule.name, txn)
 
     def _forget_rule(self, rule: Rule) -> None:
         for spec in self._mapping_specs(rule.event):

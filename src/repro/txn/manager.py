@@ -65,7 +65,8 @@ class TransactionManager:
         #: whether begin/commit/abort produce rule-triggering events
         self.signal_transaction_events = True
         #: write-ahead log and checkpointer; None while the system runs
-        #: in-memory only (attached by the facade when durability is on)
+        #: in-memory only (attached by the facade when durability is on).
+        #: Only top-level commits touch the log.
         self.wal: Optional[Any] = None
         self.checkpointer: Optional[Any] = None
         #: flight recorder; None unless the facade enables it.  Application
@@ -104,14 +105,6 @@ class TransactionManager:
             self.stats["created"] += 1
         if self.recorder is not None and not internal:
             self.recorder.record_txn_begin(txn)
-        if self.wal is not None:
-            try:
-                self.wal.log_begin(txn)
-            except BaseException:
-                # Log device failed before the transaction did anything:
-                # retire it so it is not stranded in the live set.
-                self.abort_transaction(txn, source=tracing.TRANSACTION_MANAGER)
-                raise
         if self.event_sink is not None and self.signal_transaction_events:
             self._signal("begin", txn)
         return txn
@@ -129,8 +122,8 @@ class TransactionManager:
            ``txn``) and any rules triggered by the commit event itself;
         2. when the Rule Manager replies, resume commit processing: for a
            nested transaction, transfer locks and the undo log to the
-           parent; for a top-level transaction, release locks and make
-           effects permanent;
+           parent; for a top-level transaction, force the sphere's WAL
+           record (durable mode), release locks and make effects permanent;
         3. run post-commit hooks (top-level only — a nested transaction's
            hooks are adopted by its parent, since its effects are not yet
            permanent).
@@ -167,12 +160,6 @@ class TransactionManager:
         # must not be stranded in COMMITTING with its locks held: undo its
         # effects and surface the failure as an abort.
         try:
-            # Write-ahead: the commit record is forced (fsync for a
-            # top-level transaction) before any effect becomes permanent.
-            # Deferred rule work already ran above, inside the committing
-            # transaction (§6.3), so its deltas precede this record.
-            if self.wal is not None:
-                self.wal.log_commit(txn)
             if txn.parent is not None:
                 self.locks.inherit_to_parent(txn)
                 txn.parent.adopt_child_log(txn)
@@ -184,6 +171,12 @@ class TransactionManager:
                 txn.on_abort = []
                 txn.state = COMMITTED
             else:
+                # Write-ahead: the sphere's one commit record is forced
+                # before any effect becomes permanent.  Deferred rule work
+                # already ran above, inside the committing transaction
+                # (§6.3), so its deltas are in the record.
+                if self.wal is not None:
+                    self.wal.log_commit(txn)
                 txn.state = COMMITTED
                 txn.undo_log = []
                 self.locks.release_all(txn)
@@ -241,12 +234,6 @@ class TransactionManager:
         txn.aborted_flag = True
         txn.state = ABORTED
         self.locks.wake_aborted(txn)
-        # Write-ahead (best-effort: a dead log device must not block abort
-        # cleanup): nested aborts append compensation records so a later
-        # top-level commit of the surrounding sphere replays to the right
-        # state; a top-level abort record discards the sphere at replay.
-        if self.wal is not None:
-            self.wal.log_abort(txn)
         replay_reverse(txn.undo_log)
         txn.undo_log = []
         txn.deferred_conditions = []

@@ -27,6 +27,7 @@ from repro.storage import FRAME_HEADER_SIZE, encode_frame
 from repro.saa.programs import STOCK_CLASS, TRADE_EXECUTED_EVENT
 from repro.tools.replay import ReplayError, replay
 from repro.txn.transaction import Transaction
+from repro.txn.undo import DeltaUndo
 
 QUOTES = [("XRX", 48.0), ("IBM", 101.0), ("XRX", 49.5),
           ("XRX", 50.25), ("IBM", 102.0), ("XRX", 51.0)]
@@ -201,9 +202,9 @@ class TestDivergences:
         assert oid is not None
         wal = wal_mod.WriteAheadLog(tmp_path, fsync=False)
         txn = Transaction("t-forged")
-        wal.log_begin(txn)
-        wal.log_delta(Delta(UPDATE, STOCK_CLASS, oid,
-                            {"price": 0.0}, {"price": 123456.0}), txn)
+        txn.log_undo(DeltaUndo(None, Delta(UPDATE, STOCK_CLASS, oid,
+                                           {"price": 0.0},
+                                           {"price": 123456.0})))
         wal.log_commit(txn)
         wal.close()
         del db

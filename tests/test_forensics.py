@@ -212,10 +212,13 @@ class TestForensicsRecorder:
             with db.transaction() as txn:
                 db.create("A", {"v": 1}, txn)
             txn = db.begin()
+            db.create("A", {"v": 2}, txn)
             db.wal._writer.append = _raise_io  # break the log device
-            # The abort path logs best-effort (append_safe): the failed
-            # append flips wal.failed and fires the forensics hook.
-            db.abort(txn)
+            # The sphere's commit record cannot be appended: the failed
+            # append flips wal.failed, fires the forensics hook, and the
+            # commit aborts.
+            with pytest.raises(IOError):
+                db.commit(txn)
             recorder = db.forensics
             assert _wait_for(
                 lambda: recorder.stats_snapshot()["captures"] >= 1)

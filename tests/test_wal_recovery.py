@@ -9,6 +9,10 @@ deferred-rule effects (which per §6.3 ran inside the committing
 transaction) replayed atomically with their commit.
 """
 
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 
 from repro import (
@@ -30,6 +34,9 @@ from repro.recovery import (
     recover,
     truncated_copy,
 )
+from repro.objstore.objects import OID
+from repro.objstore.store import CREATE, DEFINE_CLASS, DELETE, UPDATE, Delta
+from repro.recovery.serialize import encode_attrs, encode_delta
 from repro.recovery.wal import wal_files
 from repro.rules.coupling import DEFERRED, IMMEDIATE
 from repro.storage import encode_frame
@@ -166,20 +173,24 @@ class TestWalFormat:
         db.close()
         records, discarded = read_wal_records(tmp_path / "d")
         assert discarded == 0
-        assert [r["type"] for r in records[:2]] == ["begin", "delta"]
+        # One record per committed sphere, carrying its deltas.
+        assert [r["type"] for r in records] == ["commit", "commit"]
+        assert [[d["kind"] for d in r["data"]["deltas"]]
+                for r in records] == [["define-class"], ["create"]]
         assert all(r1["lsn"] < r2["lsn"]
                    for r1, r2 in zip(records, records[1:]))
 
     def test_reader_stops_at_corrupt_record(self, tmp_path):
         db = make_durable_db(tmp_path / "d")
         db.define_class(stock_class())
-        with db.transaction() as t:
-            db.create("Stock", {"symbol": "IBM", "price": 1.0}, t)
+        for symbol in ("IBM", "DEC", "HP"):
+            with db.transaction() as t:
+                db.create("Stock", {"symbol": symbol, "price": 1.0}, t)
         db.close()
         records, _ = read_wal_records(tmp_path / "d")
-        corrupt_record(tmp_path / "d", 3)
+        corrupt_record(tmp_path / "d", 2)
         surviving, discarded = read_wal_records(tmp_path / "d")
-        assert [r["lsn"] for r in surviving] == [r["lsn"] for r in records[:3]]
+        assert [r["lsn"] for r in surviving] == [r["lsn"] for r in records[:2]]
         assert discarded > 0
 
     def test_torn_tail_is_dropped(self, tmp_path):
@@ -197,6 +208,66 @@ class TestWalFormat:
         surviving, discarded = read_wal_records(tmp_path / "d")
         assert len(surviving) == len(records)
         assert discarded > 0
+
+
+def per_event_log(data_dir, entries):
+    """Write ``(type, txn, sphere, data)`` entries as a WAL in the older
+    per-event format: a record per begin, write and outcome."""
+    data_dir.mkdir()
+    frames = b"".join(
+        encode_frame({"lsn": lsn, "type": rtype, "txn": txn,
+                      "sphere": sphere, "data": data})
+        for lsn, (rtype, txn, sphere, data) in enumerate(entries, 1))
+    (data_dir / "wal-00000001.seg").write_bytes(frames)
+
+
+def per_event_delta(delta):
+    """A delta as the older format logged it, before-image included."""
+    return dict(encode_delta(delta), old_attrs=encode_attrs(delta.old_attrs))
+
+
+class TestPerEventLogRecovery:
+    def test_older_format_log_recovers_to_committed_state(self, tmp_path):
+        ibm, tmp = OID("Stock", 1), OID("Stock", 2)
+        ibm10 = {"symbol": "IBM", "price": 10.0}
+        ibm11 = {"symbol": "IBM", "price": 11.0}
+        tmp1 = {"symbol": "TMP", "price": 1.0}
+        per_event_log(tmp_path / "d", [
+            ("begin", "t1", "t1", {"parent": None, "label": ""}),
+            ("delta", "t1", "t1", per_event_delta(
+                Delta(DEFINE_CLASS, "Stock", class_def=stock_class()))),
+            ("commit", "t1", "t1", {"top": True}),
+            # A sphere with a committed child and an aborted child whose
+            # write was compensated in the log.
+            ("begin", "t2", "t2", {"parent": None, "label": ""}),
+            ("delta", "t2", "t2", per_event_delta(
+                Delta(CREATE, "Stock", ibm, None, ibm10))),
+            ("begin", "t3", "t2", {"parent": "t2", "label": ""}),
+            ("delta", "t3", "t2", per_event_delta(
+                Delta(UPDATE, "Stock", ibm, ibm10, ibm11))),
+            ("commit", "t3", "t2", {"top": False}),
+            ("begin", "t4", "t2", {"parent": "t2", "label": ""}),
+            ("delta", "t4", "t2", per_event_delta(
+                Delta(CREATE, "Stock", tmp, None, tmp1))),
+            ("delta", "t4", "t2", per_event_delta(
+                Delta(DELETE, "Stock", tmp, tmp1, None))),
+            ("abort", "t4", "t2", {"top": False}),
+            ("rule-drop", "t2", "t2", {"name": "gone"}),
+            ("commit", "t2", "t2", {"top": True}),
+            # Commit record landed, force failed, sphere rolled back.
+            ("begin", "t5", "t5", {"parent": None, "label": ""}),
+            ("delta", "t5", "t5", per_event_delta(
+                Delta(UPDATE, "Stock", ibm, ibm11,
+                      {"symbol": "IBM", "price": 999.0}))),
+            ("commit", "t5", "t5", {"top": True}),
+            ("abort", "t5", "t5", {"top": True}),
+        ])
+        recovered = recover(tmp_path / "d", durability=None)
+        assert recovered.store.snapshot_state()["Stock"] == {ibm: ibm11}
+        report = recovered.recovery_report()
+        assert report.replayed_spheres == 2
+        assert report.discarded_spheres == 1
+        assert report.replayed_records == 5
 
 
 class TestCrashSweep:
@@ -255,8 +326,6 @@ class TestCrashSweep:
 def attach_wal(db, wal):
     db.wal = wal
     db.transaction_manager.wal = wal
-    db.object_manager.wal = wal
-    db.rule_manager.wal = wal
 
 
 class TestFaultInjection:
@@ -267,8 +336,9 @@ class TestFaultInjection:
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
         before = db.store.snapshot_state()
-        # fail_after=2: begin + create delta succeed, the commit append dies.
-        attach_wal(db, FaultingWAL(tmp_path / "d", fail_after=2))
+        # fail_after=0: the sphere's one commit record is the first append,
+        # and it dies.
+        attach_wal(db, FaultingWAL(tmp_path / "d", fail_after=0))
         txn = db.begin()
         db.create("Stock", {"symbol": "IBM", "price": 1.0}, txn)
         with pytest.raises(InjectedCrash):
@@ -291,7 +361,7 @@ class TestFaultInjection:
         with db.transaction() as t:
             db.create("Stock", {"symbol": "IBM", "price": 1.0}, t)
         committed = db.store.snapshot_state()
-        wal.fail_after = wal.stats["records"] + 2  # dies at the next commit
+        wal.fail_after = wal.stats["records"]  # dies at the next commit
         txn = db.begin()
         db.create("Stock", {"symbol": "DEC", "price": 2.0}, txn)
         with pytest.raises(InjectedCrash):
@@ -324,24 +394,97 @@ class TestFaultInjection:
         assert (recovered.store.snapshot_state()["Stock"]
                 == committed["Stock"])
 
-    def test_nested_commit_crash_aborts_child_only(self, tmp_path):
+    def test_dead_device_fails_the_enclosing_top_level_commit(self, tmp_path):
+        # Nested commits never touch the log, so a dead device cannot
+        # fail one: it fails the enclosing top-level commit, which rolls
+        # back the whole sphere.
         db = HiPAC(lock_timeout=2.0)
         db.define_class(stock_class())
-        wal = FaultingWAL(tmp_path / "d", fail_after=100)
+        wal = FaultingWAL(tmp_path / "d", fail_after=0)
         attach_wal(db, wal)
         parent = db.begin()
         ibm = db.create("Stock", {"symbol": "IBM", "price": 1.0}, parent)
         child = db.begin(parent)
         db.update(ibm, {"price": 2.0}, child)
-        wal.fail_after = wal.stats["records"]  # next append dies
+        db.commit(child)
+        assert child.state == "committed"
         with pytest.raises(InjectedCrash):
-            db.commit(child)
-        assert child.state == "aborted"
-        assert parent.state == "active"
-        assert db.store.get(ibm).snapshot()["price"] == 1.0
-        attach_wal(db, None)
-        db.abort(parent)
+            db.commit(parent)
+        assert parent.state == "aborted"
+        assert db.store.snapshot_state()["Stock"] == {}
         assert db.locks.resource_count() == 0
+        assert wal.stats["append_failures"] == 1
+
+    def test_failed_force_is_counted_and_reported_failing(self, tmp_path):
+        # The commit record lands but its force fails: one append failure
+        # is counted, the log is marked failed, the failure hook fires
+        # once, and /health reports the instance as failing.
+        db = HiPAC(lock_timeout=2.0)
+        wal = FaultingWAL(tmp_path / "d", fail_fsync_after=2, fsync=True)
+        attach_wal(db, wal)
+        seen = []
+        wal.on_append_failure = seen.append
+        db.define_class(stock_class())  # sync #1
+        with db.transaction() as t:     # sync #2
+            db.create("Stock", {"symbol": "IBM", "price": 1.0}, t)
+        assert db.health()["status"] == "ok"
+        txn = db.begin()
+        db.create("Stock", {"symbol": "DEC", "price": 2.0}, txn)
+        with pytest.raises(InjectedCrash):
+            db.commit(txn)
+        assert wal.failed
+        assert wal.stats["append_failures"] == 1
+        assert len(seen) == 1 and isinstance(seen[0], InjectedCrash)
+        server = db.serve_admin(port=0)
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(server.url + "/health", timeout=5)
+            assert err.value.code == 503
+            health = json.loads(err.value.read())
+        finally:
+            db.close()
+        assert health["status"] == "failing"
+        assert health["wal_append_failures"] == 1
+
+    def test_only_top_level_commits_that_wrote_append(self, tmp_path):
+        # Nested begin/commit/abort, top-level aborts and read-only
+        # top-level commits append nothing; a sphere that wrote appends
+        # exactly one record, however many subtransactions it ran.
+        db = make_durable_db(tmp_path / "d")
+        db.define_class(stock_class())
+        with db.transaction() as t:
+            ibm = db.create("Stock", {"symbol": "IBM", "price": 1.0}, t)
+
+        def wal_records():
+            return db.stats()["storage"]["wal_records"]
+
+        before = wal_records()
+        parent = db.begin()
+        db.commit(db.begin(parent))
+        db.abort(db.begin(parent))
+        db.read(ibm, parent)
+        db.commit(parent)
+        with db.transaction() as t:
+            db.read(ibm, t)
+        t = db.begin()
+        db.update(ibm, {"price": 5.0}, t)
+        db.abort(t)
+        assert wal_records() == before
+        parent = db.begin()
+        for price in (2.0, 3.0):
+            child = db.begin(parent)
+            db.update(ibm, {"price": price}, child)
+            db.commit(child)
+        doomed = db.begin(parent)
+        db.update(ibm, {"price": 99.0}, doomed)
+        db.abort(doomed)
+        db.commit(parent)
+        assert wal_records() == before + 1
+        db.close()
+        record = read_wal_records(tmp_path / "d")[0][-1]
+        assert [d["new_attrs"]["price"] for d in record["data"]["deltas"]] \
+            == [2.0, 3.0]
+        assert all("old_attrs" not in d for d in record["data"]["deltas"])
 
 
 class TestCheckpointer:
